@@ -21,7 +21,6 @@ strategies are pluggable (:mod:`repro.mip.bnb.branching`,
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 
@@ -42,12 +41,10 @@ from repro.mip.lp_engine import (
 )
 from repro.mip.model import Model, StandardForm
 from repro.mip.solution import Solution, SolveStatus
-from repro.mip.warm_start import coerce_assignment, validate_assignment
+from repro.mip.warm_start import admit_warm_start
 from repro.observability import current_trace, get_registry
 
 __all__ = ["BranchAndBoundSolver", "solve"]
-
-logger = logging.getLogger("repro.runtime")
 
 BNB_NAME = "bnb"
 
@@ -182,37 +179,16 @@ class BranchAndBoundSolver:
         incumbent_x: np.ndarray | None = None
         incumbent_internal = math.inf  # internal = minimization objective
         if warm_start is not None:
-            coerced = coerce_assignment(form, warm_start)
-            reason = (
-                "uninterpretable assignment"
-                if coerced is None
-                else validate_assignment(form, coerced)
-            )
-            if reason is None:
-                incumbent_x = coerced
-                incumbent_internal = float(form.c @ coerced)
+            incumbent_x = admit_warm_start(form, warm_start)
+            if incumbent_x is not None:
+                incumbent_internal = float(form.c @ incumbent_x)
                 selection.notify_incumbent()
-                metrics.inc("warmstart.used")
                 if trace is not None:
-                    trace.emit(
-                        "warm_start",
-                        accepted=True,
-                        objective=form.user_objective(coerced),
-                    )
                     trace.emit(
                         "incumbent",
-                        objective=form.user_objective(coerced),
+                        objective=form.user_objective(incumbent_x),
                         source="warm_start",
                     )
-                logger.debug(
-                    "warm start accepted as incumbent (objective %s)",
-                    form.user_objective(coerced),
-                )
-            else:
-                metrics.inc("warmstart.rejected")
-                if trace is not None:
-                    trace.emit("warm_start", accepted=False, reason=reason)
-                logger.warning("rejecting invalid warm start: %s", reason)
         nodes_processed = 0
         hit_limit = False
         limit_state: str | None = None

@@ -1,10 +1,16 @@
-"""HiGHS solver backend via :func:`scipy.optimize.milp` / ``linprog``.
+"""HiGHS solver backend.
 
 This is the default exact backend.  It solves:
 
 * full MILPs (:func:`solve`), honouring time limits and gap tolerances so
   the paper's timeout-then-report-gap methodology (Figures 3-6) can be
-  reproduced, and
+  reproduced.  Models go straight to the HiGHS bindings that
+  :mod:`repro.mip.lp_engine` discovers and self-tests (the optional
+  ``highspy`` package or the copy scipy >= 1.15 vendors), and a
+  validated warm start becomes HiGHS's MIP start (``setSolution``).
+  Only where no usable bindings exist (``HAVE_HIGHS_BINDINGS`` false)
+  does the solve go through :func:`scipy.optimize.milp`, which has no
+  warm-start interface, and
 * LP relaxations (:func:`solve_relaxation`), used for the
   relaxation-strength ablation comparing the Delta-, Sigma- and
   cSigma-Models and inside the pure-Python branch-and-bound solver.
@@ -14,21 +20,25 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from typing import Mapping
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import SolverError
+from repro.mip import lp_engine
 from repro.mip.model import Model, StandardForm
 from repro.mip.solution import Solution, SolveStatus
+from repro.mip.warm_start import admit_warm_start
 from repro.observability import current_trace, get_registry
 
 __all__ = ["solve", "solve_relaxation", "HIGHS_NAME"]
 
 HIGHS_NAME = "highs"
 
-# scipy.optimize.milp status codes (documented in OptimizeResult.status)
+# scipy.optimize.milp status codes (documented in OptimizeResult.status);
+# the bindings path maps HiGHS model statuses onto the same codes
 _MILP_OPTIMAL = 0
 _MILP_ITER_OR_TIME = 1
 _MILP_INFEASIBLE = 2
@@ -52,11 +62,14 @@ def solve(
     model:
         The model to solve.
     warm_start:
-        Accepted for backend-signature compatibility so callers (the
-        resilient fallback chain, the greedy incremental loop) can pass
-        warm starts uniformly; :func:`scipy.optimize.milp` offers no
-        warm-start interface, so it is ignored here.  The ``bnb``
-        backend uses it as its initial incumbent.
+        Optional assignment believed feasible (a mapping or a vector,
+        see :func:`~repro.mip.warm_start.coerce_assignment`).  It is
+        validated against the compiled form first; a feasible one is
+        handed to HiGHS as its MIP start, an invalid one is rejected
+        with a warning and the solve proceeds cold.  Without usable
+        HiGHS bindings the :func:`scipy.optimize.milp` fallback runs,
+        which has no warm-start interface: the start is accepted there
+        but not used.
     time_limit:
         Wall-clock limit in seconds; on expiry the best incumbent (if
         any) is returned with status ``FEASIBLE``, mirroring the paper's
@@ -77,7 +90,9 @@ def solve(
         Sigma-Model), the bundled HiGHS presolve can cut the true
         optimum and "prove" a worse solution optimal.  Disabling
         presolve (or using the ``bnb`` backend) recovers it — see
-        EXPERIMENTS.md, "A reproduction war story, part two".
+        EXPERIMENTS.md, "A reproduction war story, part two".  HiGHS
+        symmetry detection is always off: it cut the optimum of
+        pinned-chain cSigma instances the same way.
     """
     if budget is not None:
         if budget.expired:
@@ -97,6 +112,7 @@ def solve(
         mip_gap=mip_gap,
         node_limit=node_limit,
         presolve=presolve,
+        warm_start=warm_start,
     )
 
 
@@ -106,6 +122,7 @@ def solve_standard_form(
     mip_gap: float = 1e-6,
     node_limit: int | None = None,
     presolve: bool = True,
+    warm_start=None,
 ) -> Solution:
     """Solve an already-compiled :class:`StandardForm` with HiGHS."""
     trace = current_trace()
@@ -140,45 +157,33 @@ def solve_standard_form(
             message="empty model",
         )
 
-    options: dict[str, object] = {"mip_rel_gap": mip_gap, "disp": False}
-    if not presolve:
-        options["presolve"] = False
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if node_limit is not None:
-        options["node_limit"] = int(node_limit)
-
-    constraints = _linear_constraints(form)
+    limits = (time_limit, mip_gap, node_limit, presolve)
+    bindings = lp_engine._HIGHS_MOD is not None
+    start_x = None
+    if bindings and warm_start is not None:
+        # HiGHS never sees a start that failed validation
+        start_x = admit_warm_start(form, warm_start)
     start = time.perf_counter()
-    try:
-        res = milp(
-            c=form.c,
-            constraints=constraints,
-            integrality=form.integrality,
-            bounds=Bounds(form.lb, form.ub),
-            options=options,
-        )
-    except Exception as exc:  # pragma: no cover - defensive
-        raise SolverError(f"HiGHS milp failed: {exc}") from exc
+    if bindings:
+        code, x, dual, node_count, message = _run_bindings(form, *limits, start_x)
+    else:
+        code, x, dual, node_count, message = _run_milp(form, *limits)
     runtime = time.perf_counter() - start
 
-    status = _interpret_status(res)
+    status = _interpret_status(code, x is not None)
     values: dict = {}
     objective = math.nan
-    if res.x is not None:
-        x = np.asarray(res.x, dtype=float)
-        x = _snap_integrality(x, form)
+    if x is not None:
+        x = _snap_integrality(np.asarray(x, dtype=float), form)
         values = {var: float(x[i]) for i, var in enumerate(form.variables)}
         objective = form.user_objective(x)
 
     best_bound = math.nan
-    dual = getattr(res, "mip_dual_bound", None)
     if dual is not None and math.isfinite(dual):
         best_bound = form.user_bound(float(dual))
-    elif status is SolveStatus.OPTIMAL and res.x is not None:
+    elif status is SolveStatus.OPTIMAL and x is not None:
         best_bound = objective
 
-    node_count = int(getattr(res, "mip_node_count", 0) or 0)
     metrics.inc("solver.nodes", node_count)
     metrics.add_ms("phase.solve", runtime * 1000.0)
     if trace is not None:
@@ -198,7 +203,106 @@ def solve_standard_form(
         runtime=runtime,
         node_count=node_count,
         solver=HIGHS_NAME,
-        message=str(getattr(res, "message", "")),
+        message=message,
+    )
+
+
+def _run_bindings(form, time_limit, mip_gap, node_limit, presolve, start_x):
+    """One MIP solve on a fresh bindings ``Highs`` instance.
+
+    Returns ``(milp status code, x or None, dual bound or None, nodes,
+    message)`` with :func:`scipy.optimize.milp`'s conventions: a
+    solution is reported for optimal solves and for limit stops that
+    found an incumbent, the dual bound and node count only alongside
+    a solution.
+    """
+    mod = lp_engine._HIGHS_MOD
+    model_status = mod.HighsModelStatus
+    h = lp_engine._HIGHS_CLS()
+    try:
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("mip_rel_gap", float(mip_gap))
+        h.setOptionValue("mip_detect_symmetry", False)
+        if not presolve:
+            h.setOptionValue("presolve", "off")
+        if time_limit is not None:
+            h.setOptionValue("time_limit", float(time_limit))
+        if node_limit is not None:
+            h.setOptionValue("mip_max_nodes", int(node_limit))
+        lp = lp_engine.highs_lp(form, integral=True)
+        if h.passModel(lp) == mod.HighsStatus.kError:
+            status = model_status.kModelError
+        else:
+            if start_x is not None:
+                solution = mod.HighsSolution()
+                solution.col_value = start_x
+                h.setSolution(solution)
+            h.run()
+            status = h.getModelStatus()
+        info = h.getInfo()
+        is_mip = bool(form.integrality.any())
+        limit_stop = status in (
+            model_status.kTimeLimit,
+            model_status.kIterationLimit,
+            model_status.kSolutionLimit,
+        )
+        has_x = status == model_status.kOptimal or (
+            is_mip
+            and limit_stop
+            and info.objective_function_value != mod.kHighsInf
+        )
+        x = np.array(h.getSolution().col_value) if has_x else None
+        dual = nodes = None
+        if is_mip and has_x:
+            dual = float(info.mip_dual_bound)
+            nodes = int(info.mip_node_count)
+        message = h.modelStatusToString(status)
+    finally:
+        h.clear()
+    code = {
+        model_status.kOptimal: _MILP_OPTIMAL,
+        model_status.kTimeLimit: _MILP_ITER_OR_TIME,
+        model_status.kIterationLimit: _MILP_ITER_OR_TIME,
+        model_status.kInfeasible: _MILP_INFEASIBLE,
+        model_status.kModelError: _MILP_INFEASIBLE,
+        model_status.kUnbounded: _MILP_UNBOUNDED,
+    }.get(status, _MILP_NUMERICAL)
+    return code, x, dual, max(nodes or 0, 0), message
+
+
+def _run_milp(form, time_limit, mip_gap, node_limit, presolve):
+    """The same solve through :func:`scipy.optimize.milp` (no bindings)."""
+    options: dict[str, object] = {
+        "mip_rel_gap": mip_gap,
+        "disp": False,
+        "mip_detect_symmetry": False,
+    }
+    if not presolve:
+        options["presolve"] = False
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    if node_limit is not None:
+        options["node_limit"] = int(node_limit)
+    try:
+        with warnings.catch_warnings():
+            # milp forwards options outside its own list to HiGHS and
+            # warns about them
+            warnings.filterwarnings("ignore", message="Unrecognized options")
+            res = milp(
+                c=form.c,
+                constraints=_linear_constraints(form),
+                integrality=form.integrality,
+                bounds=Bounds(form.lb, form.ub),
+                options=options,
+            )
+    except Exception as exc:  # pragma: no cover - defensive
+        raise SolverError(f"HiGHS milp failed: {exc}") from exc
+    return (
+        res.status,
+        res.x,
+        getattr(res, "mip_dual_bound", None),
+        int(getattr(res, "mip_node_count", 0) or 0),
+        str(getattr(res, "message", "")),
     )
 
 
@@ -300,17 +404,17 @@ def _linear_constraints(form: StandardForm) -> list[LinearConstraint]:
     return [LinearConstraint(form.A, form.row_lb, form.row_ub)]
 
 
-def _interpret_status(res) -> SolveStatus:
-    if res.status == _MILP_OPTIMAL:
+def _interpret_status(code: int, has_x: bool) -> SolveStatus:
+    if code == _MILP_OPTIMAL:
         return SolveStatus.OPTIMAL
-    if res.status == _MILP_ITER_OR_TIME:
-        return SolveStatus.FEASIBLE if res.x is not None else SolveStatus.NO_SOLUTION
-    if res.status == _MILP_INFEASIBLE:
+    if code == _MILP_ITER_OR_TIME:
+        return SolveStatus.FEASIBLE if has_x else SolveStatus.NO_SOLUTION
+    if code == _MILP_INFEASIBLE:
         return SolveStatus.INFEASIBLE
-    if res.status == _MILP_UNBOUNDED:
+    if code == _MILP_UNBOUNDED:
         return SolveStatus.UNBOUNDED
     # numerical trouble: keep the incumbent when one exists
-    return SolveStatus.FEASIBLE if res.x is not None else SolveStatus.ERROR
+    return SolveStatus.FEASIBLE if has_x else SolveStatus.ERROR
 
 
 def _snap_integrality(x: np.ndarray, form: StandardForm) -> np.ndarray:

@@ -67,6 +67,7 @@ __all__ = [
     "LPSession",
     "ScipySession",
     "HighspySession",
+    "highs_lp",
     "make_session",
     "default_session_spec",
     "form_extends",
@@ -200,6 +201,33 @@ def default_session_spec() -> str:
     if env in ("scipy", "highs"):
         return env
     return "highs" if HAVE_HIGHS_BINDINGS else "scipy"
+
+
+def highs_lp(form: StandardForm, integral: bool = False):
+    """``form`` as a bindings ``HighsLp`` (integrality only if ``integral``).
+
+    The one ``StandardForm -> HighsLp`` converter: the persistent LP
+    session loads relaxations through it and the ``highs`` MIP backend
+    (:func:`repro.mip.highs_backend.solve_standard_form`) full models.
+    """
+    mod = _HIGHS_MOD
+    lp = mod.HighsLp()
+    lp.num_col_ = form.num_vars
+    lp.num_row_ = form.num_constraints
+    lp.col_cost_ = np.asarray(form.c, dtype=np.float64)
+    lp.col_lower_ = np.asarray(form.lb, dtype=np.float64)
+    lp.col_upper_ = np.asarray(form.ub, dtype=np.float64)
+    lp.row_lower_ = np.asarray(form.row_lb, dtype=np.float64)
+    lp.row_upper_ = np.asarray(form.row_ub, dtype=np.float64)
+    A = form.A.tocsr()
+    lp.a_matrix_.format_ = mod.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.asarray(A.indptr, dtype=np.int32)
+    lp.a_matrix_.index_ = np.asarray(A.indices, dtype=np.int32)
+    lp.a_matrix_.value_ = np.asarray(A.data, dtype=np.float64)
+    if integral and form.integrality.any():
+        kinds = (mod.HighsVarType.kContinuous, mod.HighsVarType.kInteger)
+        lp.integrality_ = [kinds[int(k)] for k in form.integrality]
+    return lp
 
 
 # ----------------------------------------------------------------------
@@ -450,24 +478,7 @@ class HighspySession(LPSession):
         self._h.setOptionValue("threads", 1)
         self._h.setOptionValue("presolve", "on")
         self._col_indices = np.arange(form.num_vars, dtype=np.int32)
-        self._h.passModel(self._build_lp(form))
-
-    def _build_lp(self, form: StandardForm):
-        mod = self._mod
-        lp = mod.HighsLp()
-        lp.num_col_ = form.num_vars
-        lp.num_row_ = form.num_constraints
-        lp.col_cost_ = np.asarray(form.c, dtype=np.float64)
-        lp.col_lower_ = np.asarray(form.lb, dtype=np.float64)
-        lp.col_upper_ = np.asarray(form.ub, dtype=np.float64)
-        lp.row_lower_ = np.asarray(form.row_lb, dtype=np.float64)
-        lp.row_upper_ = np.asarray(form.row_ub, dtype=np.float64)
-        A = form.A.tocsr()
-        lp.a_matrix_.format_ = mod.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = np.asarray(A.indptr, dtype=np.int32)
-        lp.a_matrix_.index_ = np.asarray(A.indices, dtype=np.int32)
-        lp.a_matrix_.value_ = np.asarray(A.data, dtype=np.float64)
-        return lp
+        self._h.passModel(highs_lp(form))
 
     def load_appended(self, form: StandardForm) -> bool:
         """Push appended rows into the live ``Highs`` instance.

@@ -12,18 +12,24 @@ The contract is *validate, never trust*: an assignment that violates
 bounds, integrality or any constraint row of the compiled
 :class:`~repro.mip.model.StandardForm` is rejected (the caller's solve
 silently proceeds cold), so a stale or mis-mapped warm start can cost
-time but never correctness.
+time but never correctness.  :func:`admit_warm_start` is that gate as
+both MIP backends run it: the ``bnb`` solver seeds its incumbent with
+the admitted vector, the ``highs`` backend hands it to HiGHS.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.mip.model import StandardForm
+from repro.observability import current_trace, get_registry
 
-__all__ = ["coerce_assignment", "validate_assignment"]
+__all__ = ["admit_warm_start", "coerce_assignment", "validate_assignment"]
+
+logger = logging.getLogger("repro.runtime")
 
 #: absolute feasibility tolerance for bound/row checks
 FEAS_TOL = 1e-6
@@ -128,3 +134,34 @@ def validate_assignment(
                 f"[{form.row_lb[i]}, {form.row_ub[i]}]"
             )
     return None
+
+
+def admit_warm_start(form: StandardForm, warm_start) -> np.ndarray | None:
+    """Coerce and validate a warm start, reporting the verdict.
+
+    Returns the full (snapped) assignment when it is feasible for
+    ``form``, else ``None`` and the solve proceeds cold.  Either way the
+    outcome is counted (``warmstart.used`` / ``warmstart.rejected``) and
+    traced as a ``warm_start`` event; a rejection is logged as a
+    warning with its reason.
+    """
+    coerced = coerce_assignment(form, warm_start)
+    reason = (
+        "uninterpretable assignment"
+        if coerced is None
+        else validate_assignment(form, coerced)
+    )
+    metrics = get_registry()
+    trace = current_trace()
+    if reason is not None:
+        metrics.inc("warmstart.rejected")
+        if trace is not None:
+            trace.emit("warm_start", accepted=False, reason=reason)
+        logger.warning("rejecting invalid warm start: %s", reason)
+        return None
+    metrics.inc("warmstart.used")
+    objective = form.user_objective(coerced)
+    if trace is not None:
+        trace.emit("warm_start", accepted=True, objective=objective)
+    logger.debug("warm start accepted (objective %s)", objective)
+    return coerced

@@ -97,8 +97,8 @@ class ResilientBackend:
     Extra ``**kwargs`` — in particular ``warm_start`` from the
     incremental greedy/hybrid loops — are forwarded verbatim to every
     rung, so a warm start reaches whichever backend ends up answering
-    (HiGHS accepts-and-ignores it; branch-and-bound seeds its incumbent
-    with it).
+    (HiGHS takes it as its MIP start; branch-and-bound seeds its
+    incumbent with it).
 
     Parameters
     ----------

@@ -1,4 +1,9 @@
-"""Tests of the HiGHS backend (MILP + LP relaxation)."""
+"""Tests of the HiGHS backend (MILP + LP relaxation).
+
+MILPs go through the HiGHS bindings; ``TestMilpFallback`` takes the
+bindings away and checks that the :func:`scipy.optimize.milp` adapter
+gives the same answers.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +15,13 @@ from repro.mip import (
     Model,
     ObjectiveSense,
     SolveStatus,
+    highs_backend,
+    lp_engine,
     quicksum,
     solve_highs,
     solve_relaxation,
 )
+from repro.observability import MetricsRegistry, SolveTrace, use_registry, use_trace
 
 
 def knapsack(weights, profits, capacity):
@@ -87,6 +95,105 @@ class TestMilp:
 
         with pytest.raises(SolverError):
             sol.value(x)
+
+
+def integer_cover():
+    m = Model()
+    x = m.integer_var("x", lb=0, ub=10)
+    m.add_constr(2 * x >= 7)
+    m.set_objective(x, ObjectiveSense.MINIMIZE)
+    return m
+
+
+def infeasible_binary():
+    m = Model()
+    x = m.binary_var("x")
+    m.add_constr(x >= 0.4)
+    m.add_constr(x <= 0.6)
+    return m
+
+
+def unbounded_lp():
+    m = Model()
+    x = m.continuous_var("x", lb=0)
+    m.set_objective(x, ObjectiveSense.MAXIMIZE)
+    return m
+
+
+def continuous_lp():
+    m = Model()
+    x = m.continuous_var("x", lb=0, ub=4)
+    y = m.continuous_var("y", lb=0, ub=4)
+    m.add_constr(x + 2 * y <= 5)
+    m.set_objective(3 * x + y + 1, ObjectiveSense.MAXIMIZE)
+    return m
+
+
+#: one model per status and objective shape the solve cases above cover
+FALLBACK_CASES = {
+    "knapsack": lambda: knapsack([2, 3, 4, 5], [3, 4, 5, 6], 5)[0],
+    "integer_cover": integer_cover,
+    "infeasible": infeasible_binary,
+    "unbounded": unbounded_lp,
+    "continuous": continuous_lp,
+}
+
+
+def same_number(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Count the backend's calls into :func:`scipy.optimize.milp`."""
+    calls = []
+    real = highs_backend.milp
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(highs_backend, "milp", spy)
+    return calls
+
+
+def drop_bindings(monkeypatch):
+    monkeypatch.setattr(lp_engine, "_HIGHS_MOD", None)
+    monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", False)
+
+
+class TestMilpFallback:
+    @pytest.mark.skipif(
+        not lp_engine.HAVE_HIGHS_BINDINGS, reason="needs HiGHS bindings"
+    )
+    @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+    def test_same_answer_as_bindings(self, case, monkeypatch, milp_calls):
+        on_bindings = solve_highs(FALLBACK_CASES[case]())
+        assert milp_calls == []
+        drop_bindings(monkeypatch)
+        on_milp = solve_highs(FALLBACK_CASES[case]())
+        assert len(milp_calls) == 1
+        assert on_milp.status is on_bindings.status
+        assert same_number(on_milp.objective, on_bindings.objective)
+        assert same_number(on_milp.best_bound, on_bindings.best_bound)
+
+    def test_warm_start_accepted_but_unused(self, monkeypatch, milp_calls):
+        # a zero time limit leaves HiGHS nothing but its MIP start; the
+        # milp adapter cannot pass one, so it ends without a solution
+        m, xs = knapsack([3, 5, 7, 4, 6], [4, 7, 9, 5, 8], 12)
+        drop_bindings(monkeypatch)
+        registry, trace = MetricsRegistry(), SolveTrace()
+        with use_registry(registry), use_trace(trace):
+            sol = solve_highs(
+                m, warm_start={xs[0]: 1.0, xs[3]: 1.0}, time_limit=0.0
+            )
+        assert len(milp_calls) == 1
+        assert sol.status is SolveStatus.NO_SOLUTION
+        assert registry.counter("warmstart.used") == 0
+        assert registry.counter("warmstart.rejected") == 0
+        assert trace.last("warm_start") is None
+        # and with enough time the start changes nothing
+        assert solve_highs(m, warm_start={xs[0]: 1.0}).objective == pytest.approx(16.0)
 
 
 class TestRelaxation:

@@ -11,6 +11,12 @@ branch-and-bound), both of which recover the optimum here.
 This test pins the behavior: if a future SciPy/HiGHS upgrade fixes the
 presolve, the first assertion starts failing and the workaround (and
 this file) can be retired.
+
+A second defect sits in HiGHS symmetry detection: on a pinned chain of
+back-to-back requests plus two identical flexible ones, the plain
+cSigma-Model solved with presolve off was "proved" optimal at 6.0
+against a verified 7.0.  The backend therefore switches symmetry
+detection off for every MIP solve; the last test pins that instance.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.network import Request, SubstrateNetwork, TemporalSpec, VirtualNetwork
-from repro.tvnep import SigmaModel, verify_solution
+from repro.tvnep import CSigmaModel, ModelOptions, SigmaModel, verify_solution
 
 TRUE_OPTIMUM = 4.75
 
@@ -70,3 +76,36 @@ def test_bnb_backend_recovers_optimum():
     )
     assert solution.objective == pytest.approx(TRUE_OPTIMUM)
     assert verify_solution(solution).feasible
+
+
+def pinned_chain(durations, capacity=1.5):
+    """Back-to-back pinned requests P0.. plus two flexible ones F0, F1.
+
+    Every demand is 1.0; F0 and F1 last one time unit each and may go
+    anywhere in ``[0, chain end + 2]``.
+    """
+    substrate = SubstrateNetwork("one")
+    substrate.add_node("s", capacity)
+    requests, t = [], 0.0
+    for i, duration in enumerate(durations):
+        requests.append(unit_request(f"P{i}", t, t + duration, duration, 1.0))
+        t += duration
+    for j in range(2):
+        requests.append(unit_request(f"F{j}", 0.0, t + 2.0, 1.0, 1.0))
+    return substrate, requests
+
+
+def test_symmetry_detection_off_keeps_pinned_chain_optimum():
+    # capacity 1.5 holds one request at a time: the chain fills [0, 5]
+    # and F0/F1 fit back to back in [5, 7], so all six embed (7.0)
+    substrate, requests = pinned_chain((1.0, 1.0, 1.0, 2.0))
+    plain = CSigmaModel(
+        substrate, requests, options=ModelOptions.plain()
+    ).solve(time_limit=60, presolve=False)
+    assert plain.objective == pytest.approx(7.0)
+    assert plain.num_embedded == len(requests)
+    assert verify_solution(plain).feasible
+    bnb = CSigmaModel(
+        substrate, requests, options=ModelOptions.plain()
+    ).solve(backend="bnb", time_limit=120)
+    assert bnb.objective == pytest.approx(7.0)

@@ -11,7 +11,7 @@ and optimum.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network import Request, SubstrateNetwork, TemporalSpec, VirtualNetwork
@@ -59,8 +59,22 @@ def pinned_chain_instance(draw):
     return capacity, requests
 
 
+def chain_example(durations, capacity=1.5):
+    """A ``pinned_chain_instance`` draw without noise, demand 1.0 and
+    two flexible requests of duration 1."""
+    requests, t = [], 0.0
+    for i, duration in enumerate(durations):
+        requests.append(unit_request(f"P{i}", t, t + duration, duration))
+        t += duration
+    requests += [unit_request(f"F{j}", 0.0, t + 2.0, 1.0) for j in range(2)]
+    return capacity, requests
+
+
 @settings(max_examples=25, deadline=None)
 @given(pinned_chain_instance())
+# HiGHS symmetry detection once cut the plain model's optimum here
+@example(chain_example((1.0, 2.0, 1.0, 1.0)))
+@example(chain_example((1.0, 2.0, 1.0, 3.0)))
 def test_cuts_agree_with_plain_on_pinned_chains(params):
     capacity, requests = params
     substrate = SubstrateNetwork()

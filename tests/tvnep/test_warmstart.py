@@ -1,11 +1,13 @@
 """Warm starts at the TVNEP layer: schedule reconstruction, validation,
-and the standard-form cache wins of the incremental greedy loop."""
+the HiGHS MIP starts and the standard-form cache wins of the
+incremental greedy loop."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.mip import solve_bnb, standard_form_cache_stats
+from repro.mip.lp_engine import HAVE_HIGHS_BINDINGS
 from repro.observability import MetricsRegistry, SolveTrace, use_registry, use_trace
 from repro.tvnep import CSigmaModel, greedy_csigma
 from repro.tvnep.greedy import _link_flow_values
@@ -95,6 +97,16 @@ class TestScheduleWarmStart:
         assert validated_warm_start(model, schedule) is None
         assert fresh_registry.counter("warmstart.discarded") == 1
         assert fresh_registry.counter("warmstart.validated") == 0
+
+
+@pytest.mark.skipif(not HAVE_HIGHS_BINDINGS, reason="needs HiGHS bindings")
+def test_greedy_hands_every_validated_warm_start_to_highs(fresh_registry):
+    scenario = small_scenario(0, num_requests=4).with_flexibility(1.0)
+    greedy_csigma(scenario.substrate, scenario.requests, scenario.node_mappings)
+    validated = fresh_registry.counter("warmstart.validated")
+    assert validated > 0
+    assert fresh_registry.counter("warmstart.used") == validated
+    assert fresh_registry.counter("warmstart.rejected") == 0
 
 
 class TestGreedyCacheWins:
