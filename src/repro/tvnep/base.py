@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from repro.exceptions import ModelingError, ValidationError
@@ -137,6 +138,11 @@ class TemporalModelBase:
     #: whether requests get the static (time-invariant) ``x_E`` flows;
     #: the re-routing variant builds per-state flows instead
     build_static_link_flows: bool = True
+    #: names whose ``x_R`` is pinned when their block is built; the
+    #: incremental greedy model inserts every request undecided and
+    #: keeps these empty
+    _force_embedded: AbstractSet[str] = frozenset()
+    _force_rejected: AbstractSet[str] = frozenset()
 
     def __init__(
         self,

@@ -1,15 +1,18 @@
 """The greedy admission algorithm cSigma^G_A (Sec. V).
 
 The algorithm processes requests in order of earliest possible start.
-For request ``L[i]`` it solves a cSigma model over all requests seen so
-far in which
+For request ``L[i]`` it solves a cSigma model over the requests
+accepted so far plus ``L[i]`` in which
 
 * node mappings are fixed a priori (Constraint 23),
 * previously accepted requests are forced in (Constraint 24) with their
   windows pinned to the exact schedule chosen when they were accepted,
-* previously rejected requests are forced out (Constraint 25) with
-  their schedule pinned to the earliest slot (their times must still be
-  fixed, per Definition 2.1), and
+* previously rejected requests are forced out (Constraint 25) by
+  *omission*: a request with ``x_R = 0`` holds no resources and cannot
+  change the iteration's optimum, so its block is left out of the model
+  altogether (as :func:`greedy_enumerative` leaves it out of its LPs).
+  The result still fixes its times, per Definition 2.1, to the earliest
+  slot ``[t^s, t^s + d]``, and
 * the objective (21) ``max T * x_R(L[i]) + (T - t^-_{L[i]})`` embeds the
   new request if at all possible and then as early as possible.
 
@@ -49,6 +52,13 @@ from repro.vnep.embedding_vars import NodeMapping
 __all__ = ["GreedyResult", "greedy_csigma", "greedy_enumerative"]
 
 logger = logging.getLogger("repro.runtime")
+
+
+def _earliest_slot(request: Request) -> Request:
+    """``request`` pinned to its earliest slot (a rejection's schedule)."""
+    return request.with_schedule(
+        request.earliest_start, request.earliest_start + request.duration
+    )
 
 
 def _pinned_schedule(
@@ -214,15 +224,18 @@ def greedy_csigma(
     order = sorted(requests, key=lambda r: (r.earliest_start, r.name))
 
     horizon = max(r.latest_end for r in requests)
+    # the model's request set: accepted requests (pinned) plus the
+    # candidate; rejected ones leave it for ``rejected`` (earliest slot)
     current: dict[str, Request] = {}
     accepted: list[str] = []
-    rejected: list[str] = []
+    rejected: dict[str, Request] = {}
     runtimes: list[float] = []
     # x_E values of the last successful solve, reused to warm-start the
     # next iteration (flows are time-invariant, so they stay feasible)
     flow_values: dict[str, float] = {}
     # one growing model for the whole run: embedding blocks append, the
-    # temporal tail rebuilds per iteration, decisions are bound updates
+    # temporal tail rebuilds per iteration, an accept is a bound update
+    # and a reject truncates the candidate's block away
     inc = (
         IncrementalCSigmaModel(
             substrate, options=_with_horizon(options, horizon), horizon=horizon
@@ -232,15 +245,11 @@ def greedy_csigma(
     )
 
     def reject(request: Request) -> None:
-        # fix times anyway (Definition 2.1); earliest slot
-        current[request.name] = request.with_schedule(
-            request.earliest_start,
-            request.earliest_start + request.duration,
-        )
-        rejected.append(request.name)
+        del current[request.name]
+        rejected[request.name] = _earliest_slot(request)
         get_registry().inc("greedy.rejected")
         if inc is not None and inc.contains(request.name):
-            inc.decide(request.name, False, current[request.name])
+            inc.decide(request.name, False)
 
     for position, request in enumerate(order):
         current[request.name] = request
@@ -295,7 +304,6 @@ def greedy_csigma(
                         name: fixed_mappings[name] for name in current
                     },
                     force_embedded=accepted,
-                    force_rejected=rejected,
                     options=_with_horizon(options, horizon),
                 )
             # objective (21): embed L[i] if possible, then end it early
@@ -346,22 +354,23 @@ def greedy_csigma(
         else:
             reject(request)
 
-    # one final fully-pinned solve over *all* requests: with every
-    # schedule and accept/reject decision fixed, this is cheap, and it
-    # guarantees the extraction covers the whole request set even if a
-    # per-iteration time limit left some intermediate solve empty —
-    # routed through the same incremental model (one more tail rebuild)
-    # whenever every request's embedding block made it in
-    if inc is not None and all(inc.contains(name) for name in current):
+    # one final fully-pinned solve over the accepted set: with every
+    # schedule fixed, this is cheap, and it yields the jointly
+    # re-optimized flows even if a per-iteration time limit left some
+    # intermediate solve empty.  When nothing was accepted, the solve
+    # runs over every request, all pinned out — so a backend that fails
+    # every call still surfaces as an error, not as "all rejected".
+    final_requests = current if accepted else rejected
+    if accepted and inc is not None:
         inc.rebuild_tail()
         final_model = inc
     else:
         final_model = CSigmaModel(
             substrate,
-            list(current.values()),
-            fixed_mappings=dict(fixed_mappings),
+            list(final_requests.values()),
+            fixed_mappings={name: fixed_mappings[name] for name in final_requests},
             force_embedded=accepted,
-            force_rejected=rejected,
+            force_rejected=[] if accepted else list(rejected),
             options=_with_horizon(options, horizon),
         )
     # the final solve is fully pinned and therefore cheap; grant it a
@@ -372,7 +381,7 @@ def greedy_csigma(
         final_limit = max(budget.clamp(None), 1.0)
     try:
         final_warm = validated_warm_start(
-            final_model, _pinned_schedule(current, accepted), flow_values
+            final_model, _pinned_schedule(final_requests, accepted), flow_values
         )
         final_raw = solve_raw_warm(
             final_model, backend, final_limit, final_warm, **solve_hints
@@ -513,17 +522,27 @@ def _with_horizon(options: ModelOptions, horizon: float) -> ModelOptions:
 def _reconcile(
     solution: TemporalSolution, original_requests: Sequence[Request]
 ) -> TemporalSolution:
-    """Restore the original (un-pinned) request objects in the output.
+    """The final solution over the caller's requests, in the caller's order.
 
     The greedy pins windows internally; the reported solution should
     reference the caller's requests so window checks use the *original*
-    flexibilities.
+    flexibilities.  Requests the final model left out (rejected ones)
+    are added, and rejected ones it kept are reported, with
+    ``embedded=False`` at their exact earliest slot.
     """
-    by_name = {r.name: r for r in original_requests}
     scheduled = {}
-    for name, entry in solution.scheduled.items():
-        scheduled[name] = ScheduledRequest(
-            request=by_name[name],
+    for request in original_requests:
+        entry = solution.scheduled.get(request.name)
+        if entry is None or not entry.embedded:
+            scheduled[request.name] = ScheduledRequest(
+                request=request,
+                embedded=False,
+                start=request.earliest_start,
+                end=request.earliest_start + request.duration,
+            )
+            continue
+        scheduled[request.name] = ScheduledRequest(
+            request=request,
             embedded=entry.embedded,
             start=entry.start,
             end=entry.end,

@@ -13,8 +13,9 @@ labor:
 2. solve the heavy-hitters **exactly** with the cSigma-Model (access
    control), obtaining their accept/reject decisions and schedules;
 3. insert the small requests **greedily** (earliest-start order, each
-   as one cSigma solve with everything placed so far pinned — the
-   same per-iteration machinery as Algorithm cSigma^G_A).
+   as one cSigma solve over the accepted requests, pinned, plus the
+   candidate — the same per-iteration machinery as Algorithm
+   cSigma^G_A, which leaves rejected requests out of the model).
 
 The result is always feasible, dominates pure greedy whenever the
 heavy-hitters carry most of the revenue (they get the optimal
@@ -37,9 +38,16 @@ from repro.observability.metrics import get_registry
 from repro.runtime.budget import SolveBudget
 from repro.tvnep.base import ModelOptions
 from repro.tvnep.csigma_model import CSigmaModel
-from repro.tvnep.greedy import _link_flow_values, _pinned_schedule, solve_raw_warm
+from repro.tvnep.greedy import (
+    _earliest_slot,
+    _link_flow_values,
+    _pinned_schedule,
+    _reconcile,
+    _with_horizon,
+    solve_raw_warm,
+)
 from repro.tvnep.incremental import IncrementalCSigmaModel
-from repro.tvnep.solution import ScheduledRequest, TemporalSolution
+from repro.tvnep.solution import TemporalSolution
 from repro.tvnep.warmstart import validated_warm_start
 from repro.vnep.embedding_vars import NodeMapping
 
@@ -113,7 +121,7 @@ def hybrid_heavy_hitters(
     incremental:
         Run the insertion phase on one growing
         :class:`~repro.tvnep.incremental.IncrementalCSigmaModel`
-        (default) — seeded with the heavy-hitters' pinned outcomes,
+        (default) — seeded with the accepted heavy-hitters, pinned,
         then extended per small request — instead of rebuilding a fresh
         cSigma model per insertion.  Decisions are identical either way
         (the per-insertion standard forms are byte-equal).
@@ -162,37 +170,30 @@ def hybrid_heavy_hitters(
     # x_E values of the exact phase seed the insertion warm starts
     flow_values = _link_flow_values(exact_raw) if exact_raw.has_solution else {}
 
-    # pin the heavy-hitters' outcomes
+    # pin the heavy-hitters' outcomes: accepted ones at their exact
+    # schedule in the model's request set, rejected ones out of it
     current: dict[str, Request] = {}
     accepted: list[str] = []
-    rejected: list[str] = []
+    rejected: dict[str, Request] = {}
     for request in heavy:
         entry = exact_solution.scheduled.get(request.name)
         if entry is not None and entry.embedded:
             current[request.name] = request.with_schedule(entry.start, entry.end)
             accepted.append(request.name)
         else:
-            current[request.name] = request.with_schedule(
-                request.earliest_start,
-                request.earliest_start + request.duration,
-            )
-            rejected.append(request.name)
+            rejected[request.name] = _earliest_slot(request)
 
     # -- phase 2: greedy insertion of the small requests -------------------
-    # one growing model seeded with the heavy-hitters' pinned outcomes;
-    # each small request appends its embedding block and rebuilds only
-    # the temporal tail
+    # one growing model seeded with the accepted heavy-hitters; each
+    # small request appends its embedding block and rebuilds only the
+    # temporal tail
     inc: IncrementalCSigmaModel | None = None
     if incremental:
         inc = IncrementalCSigmaModel(substrate, options=options, horizon=horizon)
         try:
-            for request in heavy:
-                inc.insert(request, fixed_mappings[request.name])
-                inc.decide(
-                    request.name,
-                    request.name in accepted,
-                    current[request.name],
-                )
+            for name in accepted:
+                inc.insert(current[name], fixed_mappings[name])
+                inc.decide(name, True, current[name])
         except (SolverError, ModelingError) as exc:  # pragma: no cover
             # a heavy embedding that built in the exact phase should
             # always build here; degrade to the fresh-model loop if not
@@ -209,14 +210,11 @@ def hybrid_heavy_hitters(
         get_registry().inc("hybrid.insertions")
 
         def _reject() -> None:
-            current[request.name] = request.with_schedule(
-                request.earliest_start,
-                request.earliest_start + request.duration,
-            )
-            rejected.append(request.name)
+            del current[request.name]
+            rejected[request.name] = _earliest_slot(request)
             get_registry().inc("hybrid.rejected")
             if inc is not None and inc.contains(request.name):
-                inc.decide(request.name, False, current[request.name])
+                inc.decide(request.name, False)
 
         if inc is not None:
             try:
@@ -262,7 +260,6 @@ def hybrid_heavy_hitters(
                         name: fixed_mappings[name] for name in current
                     },
                     force_embedded=accepted,
-                    force_rejected=rejected,
                     options=options,
                 )
             target = model.embeddings[request.name]
@@ -300,31 +297,33 @@ def hybrid_heavy_hitters(
             _reject()
 
     # -- assemble the final solution ---------------------------------------
-    # a fully-pinned solve over the whole request set (cheap: every
-    # decision is fixed) so the extraction always covers all requests;
-    # reuses the incremental model (one more tail rebuild) when possible
-    if inc is not None and all(inc.contains(name) for name in current):
+    # a fully-pinned solve over the accepted set (cheap: every decision
+    # is fixed), reusing the incremental model (one more tail rebuild)
+    # when there is one; with nothing accepted it runs over every
+    # request pinned out, so a failing backend still raises
+    final_requests = current if accepted else rejected
+    if accepted and inc is not None:
         inc.rebuild_tail()
         final_model = inc
     else:
         final_model = CSigmaModel(
             substrate,
-            list(current.values()),
-            fixed_mappings={name: fixed_mappings[name] for name in current},
+            list(final_requests.values()),
+            fixed_mappings={name: fixed_mappings[name] for name in final_requests},
             force_embedded=accepted,
-            force_rejected=rejected,
+            force_rejected=[] if accepted else list(rejected),
             options=options,
         )
     # fully pinned and cheap; granted a grace second past the deadline
     final_limit = max(budget.clamp(None), 1.0) if budget is not None else None
     final_warm = validated_warm_start(
-        final_model, _pinned_schedule(current, accepted), flow_values
+        final_model, _pinned_schedule(final_requests, accepted), flow_values
     )
     solution = final_model.extract(
         solve_raw_warm(final_model, backend, final_limit, final_warm, **solve_hints)
     )
 
-    solution = _restore_requests(solution, requests)
+    solution = _reconcile(solution, requests)
     solution.model_name = "hybrid-heavy-hitters"
     solution.objective = solution.total_revenue()
     solution.runtime = exact_runtime + sum(greedy_runtimes)
@@ -335,41 +334,4 @@ def hybrid_heavy_hitters(
         small_names=small_names,
         exact_runtime=exact_runtime,
         greedy_runtimes=greedy_runtimes,
-    )
-
-
-def _with_horizon(options: ModelOptions, horizon: float) -> ModelOptions:
-    if options.time_horizon is not None:
-        return options
-    from dataclasses import replace
-
-    return replace(options, time_horizon=horizon)
-
-
-def _restore_requests(
-    solution: TemporalSolution, originals: Sequence[Request]
-) -> TemporalSolution:
-    """Swap the pinned request copies back for the caller's originals."""
-    by_name = {r.name: r for r in originals}
-    scheduled = {
-        name: ScheduledRequest(
-            request=by_name[name],
-            embedded=entry.embedded,
-            start=entry.start,
-            end=entry.end,
-            node_mapping=entry.node_mapping,
-            link_flows=entry.link_flows,
-        )
-        for name, entry in solution.scheduled.items()
-    }
-    return TemporalSolution(
-        solution.substrate,
-        scheduled,
-        objective=solution.objective,
-        model_name=solution.model_name,
-        runtime=solution.runtime,
-        gap=solution.gap,
-        node_count=solution.node_count,
-        status=solution.status,
-        rung=solution.rung,
     )

@@ -16,9 +16,16 @@ sequence:
   **append-only**: each insertion adds exactly one new block and all
   previous blocks survive verbatim (their compiled CSR rows are reused
   through the model's :class:`~repro.mip.model._CompiledPrefix`);
-* accept/reject decisions and window pins are **bound-only** updates
-  (``x_R`` fixed via :meth:`~repro.mip.model.Model.set_var_bounds`),
-  which never touch the constraint matrix;
+* an accept is a **bound-only** update (``x_R`` fixed to 1 via
+  :meth:`~repro.mip.model.Model.set_var_bounds`), which never touches
+  the constraint matrix;
+* a reject **withdraws** the candidate's block: the candidate is always
+  the newest insert, so :meth:`~repro.mip.model.Model.truncate` rolls
+  the model back to the mark taken before it was appended.  A rejected
+  request holds no resources and cannot change any later optimum, so
+  leaving it out realises the greedy's Constraint (25) by omission and
+  keeps every iteration's model over accepted requests plus the
+  candidate only;
 * only the *temporal* tail (events, cuts, time coupling, states) is a
   global function of the request set — event counts and dependency
   ranges shift with every insertion — so it is rolled back with
@@ -27,9 +34,10 @@ sequence:
 Byte parity with the historical loop is load-bearing: the model this
 class exposes at each iteration compiles to the *same*
 :class:`~repro.mip.model.StandardForm` as a fresh
-:class:`~repro.tvnep.csigma_model.CSigmaModel` over the same pinned
-request list (``tests/tvnep/test_incremental_model.py``), so the greedy
-makes identical accept/reject decisions with either construction path.
+:class:`~repro.tvnep.csigma_model.CSigmaModel` over the same request
+list — the pinned accepted requests plus the candidate
+(``tests/tvnep/test_incremental_model.py``) — so the greedy makes
+identical accept/reject decisions with either construction path.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping
 
 from repro.exceptions import ValidationError
-from repro.mip.model import Model
+from repro.mip.model import Model, ModelMark
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
 from repro.observability.metrics import get_registry
@@ -59,7 +67,11 @@ class IncrementalCSigmaModel(CSigmaModel):
             inc.rebuild_tail()          # temporal layer over current set
             ... solve, read decision ...
             inc.decide(request.name, embedded, pinned_request)
-        inc.rebuild_tail()              # final fully-pinned model
+        inc.rebuild_tail()              # final model: accepted set, pinned
+
+    An accept pins ``x_R = 1`` (bound-only); a reject truncates the
+    candidate's block away, so :attr:`requests` only ever holds the
+    accepted requests plus the newest insert.
 
     After :meth:`rebuild_tail` the instance *is* a regular
     :class:`~repro.tvnep.csigma_model.CSigmaModel` — solve/extract/
@@ -107,14 +119,16 @@ class IncrementalCSigmaModel(CSigmaModel):
         self.T = float(horizon)
 
         self._fixed_mappings: dict[str, dict[Hashable, Hashable]] = {}
-        self._force_embedded: set[str] = set()
-        self._force_rejected: set[str] = set()
         self.embeddings = {}
         self._index_of: dict[str, int] = {}
         #: checkpoint separating the persistent embedding prefix from
         #: the disposable temporal tail
         self._embedding_mark = self.model.mark()
         self._tail_built = False
+        #: the newest insert and the mark taken just before it: a
+        #: rejection truncates back to that mark
+        self._newest: str | None = None
+        self._insert_mark = self._embedding_mark
 
     # ------------------------------------------------------------------
     def insert(self, request: Request, mapping: NodeMapping | None) -> None:
@@ -142,33 +156,42 @@ class IncrementalCSigmaModel(CSigmaModel):
             except Exception:
                 # leave the model exactly as before the failed insert;
                 # the caller typically rejects the request without it
-                self.model.truncate(checkpoint)
-                self.requests.pop()
-                del self._index_of[request.name]
-                self._fixed_mappings.pop(request.name, None)
-                self.embeddings.pop(request.name, None)
+                self._withdraw(request.name, checkpoint)
                 raise
         self._embedding_mark = self.model.mark()
+        self._newest = request.name
+        self._insert_mark = checkpoint
 
-    def decide(self, name: str, embedded: bool, pinned: Request) -> None:
-        """Pin a processed request's outcome (bound-only, matrix untouched).
+    def decide(
+        self, name: str, embedded: bool, pinned: Request | None = None
+    ) -> None:
+        """Settle the newest insert's outcome.
 
-        ``pinned`` is the zero-flexibility copy carrying the chosen (or
-        earliest-slot, for rejections) window; it replaces the original
-        in :attr:`requests` so the next :meth:`rebuild_tail` computes
-        event ranges from the pinned windows — exactly what a fresh
-        per-iteration model sees.
+        An accept is bound-only (``x_R`` pinned to 1, matrix untouched):
+        ``pinned`` is the zero-flexibility copy carrying the chosen
+        window, and it replaces the original in :attr:`requests` so the
+        next :meth:`rebuild_tail` computes event ranges from it — exactly
+        what a fresh per-iteration model sees.
+
+        A reject truncates the model back to the mark taken before the
+        request's block was appended and forgets the request, so later
+        iterations never carry it (``pinned`` is ignored).  Only the
+        newest insert can be withdrawn that way.
         """
+        if not embedded:
+            if name != self._newest:
+                raise ValidationError(
+                    f"only the newest insert can be rejected, not {name!r}"
+                )
+            self._withdraw(name, self._insert_mark)
+            return
+        if pinned is None:
+            raise ValidationError("an accept needs the pinned request copy")
         index = self._index_of[name]
         self.requests[index] = pinned
         emb = self.embeddings[name]
         emb.request = pinned
-        if embedded:
-            self._force_embedded.add(name)
-            self.model.set_var_bounds(emb.x_embed, 1.0, 1.0)
-        else:
-            self._force_rejected.add(name)
-            self.model.set_var_bounds(emb.x_embed, 0.0, 0.0)
+        self.model.set_var_bounds(emb.x_embed, 1.0, 1.0)
 
     def rebuild_tail(self) -> None:
         """(Re)build the temporal layer over the current request set.
@@ -196,10 +219,21 @@ class IncrementalCSigmaModel(CSigmaModel):
         self._emit_build_event(incremental=True)
 
     def contains(self, name: str) -> bool:
-        """Whether a request's embedding block made it into the model."""
+        """Whether a request's block is in the model (inserted, not withdrawn)."""
         return name in self._index_of
 
     # ------------------------------------------------------------------
+    def _withdraw(self, name: str, mark: ModelMark) -> None:
+        """Drop ``name`` (the newest insert) and roll the model to ``mark``."""
+        self.model.truncate(mark)
+        self._embedding_mark = mark
+        self._tail_built = False
+        self._newest = None
+        self.requests.pop()
+        del self._index_of[name]
+        self._fixed_mappings.pop(name, None)
+        self.embeddings.pop(name, None)
+
     def _drop_tail(self) -> None:
         if self._tail_built:
             self.model.truncate(self._embedding_mark)

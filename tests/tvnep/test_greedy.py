@@ -255,3 +255,46 @@ class TestGlobalBudget:
         assert not result.solution["A"].embedded
         assert result.solution["B"].embedded
         assert verify_solution(result.solution).feasible
+
+
+class TestRejectedResultShape:
+    """Rejected requests leave the per-iteration models; the result
+    still reports each one, pinned to its exact earliest slot."""
+
+    def test_rejected_reported_in_input_order_at_earliest_slot(self):
+        sub = one_node()
+        # processing order is A, M, B, Z; A takes [0, 2] and blocks the rest
+        reqs = [
+            unit_request("Z", 1, 3.5, 2),
+            unit_request("A", 0, 2, 2),
+            unit_request("M", 0, 2.5, 2),
+            unit_request("B", 1, 3, 2),
+        ]
+        result = greedy_csigma(sub, reqs, unit_mappings(reqs))
+        assert result.accepted_order == ["A"]
+        scheduled = result.solution.scheduled
+        assert list(scheduled) == ["Z", "A", "M", "B"]
+        assert [n for n, e in scheduled.items() if not e.embedded] == [
+            "Z",
+            "M",
+            "B",
+        ]
+        for request in reqs[:1] + reqs[2:]:
+            entry = scheduled[request.name]
+            assert entry.request is request
+            assert entry.start == request.earliest_start
+            assert entry.end == request.earliest_start + request.duration
+            assert entry.node_mapping == {}
+            assert entry.link_flows == {}
+        assert verify_solution(result.solution).feasible
+
+    def test_failing_backend_on_all_rejected_run_raises(self):
+        from repro.runtime import inject_faults
+
+        sub = one_node()
+        reqs = [unit_request("A", 0, 4, 2), unit_request("B", 0, 4, 2)]
+        # every iteration fails and rejects; the final solve over the
+        # all-rejected set still runs and surfaces the backend failure
+        with inject_faults("highs", always="error"):
+            with pytest.raises(SolverError, match="final extraction"):
+                greedy_csigma(sub, reqs, unit_mappings(reqs))

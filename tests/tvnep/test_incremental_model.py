@@ -4,9 +4,11 @@ The load-bearing invariant: at every point of a greedy run, the growing
 :class:`~repro.tvnep.incremental.IncrementalCSigmaModel` compiles to a
 standard form *byte-identical* to a fresh
 :class:`~repro.tvnep.csigma_model.CSigmaModel` built over the same
-pinned request list.  Given that, the greedy/hybrid algorithms make the
-same decisions with either construction path — checked end-to-end here
-as well (accepted order, objectives, schedules).
+request list: the accepted requests, pinned, plus the candidate (a
+rejection withdraws the candidate's block).  Given that, the
+greedy/hybrid algorithms make the same decisions with either
+construction path — checked end-to-end here as well (accepted order,
+objectives, schedules).
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ class TestScriptedIterationParity:
         )
         inc = IncrementalCSigmaModel(substrate, options=options, horizon=horizon)
 
+        # the accepted requests (pinned) plus the candidate
         current: dict[str, Request] = {}
         accepted: list[str] = []
-        rejected: list[str] = []
         for position, request in enumerate(requests):
             current[request.name] = request
             inc.insert(request, mappings[request.name])
@@ -81,34 +83,33 @@ class TestScriptedIterationParity:
                 list(current.values()),
                 fixed_mappings={name: mappings[name] for name in current},
                 force_embedded=accepted,
-                force_rejected=rejected,
                 options=options,
             )
             assert_forms_equal(
                 inc.model.to_standard_form(), fresh.model.to_standard_form()
             )
             # scripted outcome: accept evens at the earliest slot,
-            # reject odds (Definition 2.1 pins times either way)
-            pinned = request.with_schedule(
-                request.earliest_start,
-                request.earliest_start + request.duration,
-            )
-            current[request.name] = pinned
+            # reject odds (their blocks leave the model)
             if position % 2 == 0:
+                pinned = request.with_schedule(
+                    request.earliest_start,
+                    request.earliest_start + request.duration,
+                )
+                current[request.name] = pinned
                 accepted.append(request.name)
                 inc.decide(request.name, True, pinned)
             else:
-                rejected.append(request.name)
-                inc.decide(request.name, False, pinned)
+                del current[request.name]
+                inc.decide(request.name, False)
+            assert [r.name for r in inc.requests] == list(current)
 
         # the final fully-pinned model (one more tail rebuild) matches too
         inc.rebuild_tail()
         final = CSigmaModel(
             substrate,
             list(current.values()),
-            fixed_mappings=dict(mappings),
+            fixed_mappings={name: mappings[name] for name in current},
             force_embedded=accepted,
-            force_rejected=rejected,
             options=options,
         )
         assert_forms_equal(
@@ -145,7 +146,7 @@ class TestLifecycle:
         with pytest.raises(ValidationError, match="at least one request"):
             inc.rebuild_tail()
 
-    def test_decide_is_bound_only(self):
+    def test_accept_is_bound_only(self):
         substrate, requests, mappings = star_instance(2)
         inc = IncrementalCSigmaModel(substrate, options=self.options(), horizon=10.0)
         for request in requests:
@@ -156,8 +157,52 @@ class TestLifecycle:
         emb = inc.embeddings[requests[0].name]
         assert emb.x_embed.lb == emb.x_embed.ub == 1.0
         assert inc.model.to_standard_form().A.nnz == nnz_before
-        inc.decide(requests[0].name, False, pinned)
-        assert emb.x_embed.lb == emb.x_embed.ub == 0.0
+        assert inc.requests[0] is pinned
+
+    @pytest.mark.parametrize("formulation", ["columnar", "legacy"])
+    def test_reject_restores_pre_insert_form(self, formulation):
+        substrate, requests, mappings = star_instance(3)
+        options = replace(self.options(), formulation=formulation)
+        inc = IncrementalCSigmaModel(substrate, options=options, horizon=10.0)
+        for request in requests[:2]:
+            inc.insert(request, mappings[request.name])
+            inc.decide(
+                request.name,
+                True,
+                request.with_schedule(
+                    request.earliest_start,
+                    request.earliest_start + request.duration,
+                ),
+            )
+        inc.rebuild_tail()
+        before = inc.model.to_standard_form()
+
+        candidate = requests[2]
+        inc.insert(candidate, mappings[candidate.name])
+        inc.rebuild_tail()
+        assert inc.model.num_vars > len(before.variables)
+        inc.decide(candidate.name, False)
+        assert not inc.contains(candidate.name)
+        assert candidate.name not in inc.embeddings
+        assert [r.name for r in inc.requests] == [r.name for r in requests[:2]]
+        inc.rebuild_tail()
+        assert_forms_equal(inc.model.to_standard_form(), before)
+        # the withdrawn request can come back: its names were released
+        inc.insert(candidate, mappings[candidate.name])
+        inc.rebuild_tail()
+
+    def test_reject_of_an_older_insert_raises(self):
+        substrate, requests, mappings = star_instance(2)
+        inc = IncrementalCSigmaModel(substrate, options=self.options(), horizon=10.0)
+        for request in requests:
+            inc.insert(request, mappings[request.name])
+        with pytest.raises(ValidationError, match="newest insert"):
+            inc.decide(requests[0].name, False)
+        assert inc.contains(requests[0].name)
+        # rejecting the newest works, after which nothing is withdrawable
+        inc.decide(requests[1].name, False)
+        with pytest.raises(ValidationError, match="newest insert"):
+            inc.decide(requests[0].name, False)
 
     def test_failed_insert_rolls_back_cleanly(self):
         substrate, requests, mappings = star_instance(2)
