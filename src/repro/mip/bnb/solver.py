@@ -199,6 +199,7 @@ class BranchAndBoundSolver:
 
             with metrics.timer("phase.presolve"):
                 presolved = tighten_bounds(form, root_lb, root_ub)
+            metrics.inc("solver.presolve_rows", presolved.rows_processed)
             if trace is not None:
                 tightened = int(
                     np.count_nonzero(presolved.lb != root_lb)
@@ -208,6 +209,8 @@ class BranchAndBoundSolver:
                     "presolve",
                     feasible=bool(presolved.feasible),
                     tightened_bounds=tightened,
+                    rounds=presolved.rounds,
+                    rows_processed=presolved.rows_processed,
                 )
             if not presolved.feasible:
                 return self._finish(

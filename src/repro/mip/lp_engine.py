@@ -22,14 +22,16 @@ updates.  Two implementations:
 
 :class:`HighspySession`
     A persistent ``Highs`` instance that holds the model across the
-    whole tree search.  Per node it mutates column bounds in place
-    (``changeColsBounds``) and, when the caller supplies the parent
-    node's basis, hot-starts the dual simplex from it (``setBasis``) —
-    child relaxations differ from their parent by a single bound change,
-    so re-optimization typically takes a handful of pivots instead of a
-    full solve.  Bindings are resolved from the optional ``highspy``
-    package (``pip install .[highs]``) when installed, else from the
-    copy scipy >= 1.15 vendors for its own ``linprog``/``milp`` wrappers
+    whole tree search.  Per node it pushes only the columns whose bounds
+    differ from the ones it last pushed (``changeColsBounds``) and, when
+    the caller supplies the parent node's basis, hot-starts the dual
+    simplex from it (``setBasis``) — child relaxations differ from their
+    parent by a single bound change, so both the update and the
+    re-optimization typically touch a handful of columns and pivots
+    instead of the whole model.  Bindings are resolved from the
+    optional ``highspy`` package (``pip install .[highs]``) when
+    installed, else from the copy scipy >= 1.15 vendors for its own
+    ``linprog``/``milp`` wrappers
     (probed defensively: any import or API mismatch downgrades to
     :class:`ScipySession` instead of crashing).
 
@@ -46,7 +48,8 @@ Telemetry (reported to the active
   did / did not start from a supplied basis,
 * ``solver.lp_iterations`` — cumulative simplex iterations,
 * ``phase.lp_update_ms`` — time spent pushing bound updates into the
-  session (distinct from ``phase.lp_ms``, the solve itself),
+  session (the HiGHS session pushes only the changed columns; distinct
+  from ``phase.lp_ms``, the solve itself),
 * ``solver.rc_fixed_cols`` — columns fixed by reduced-cost fixing,
 * ``solver.lp_appends`` — row-append rebinds answered by
   :meth:`LPSession.load_appended` without a session reload.
@@ -455,11 +458,13 @@ def _scipy_reduced_costs(res, num_vars: int) -> np.ndarray | None:
 class HighspySession(LPSession):
     """A persistent ``Highs`` instance with basis hot-starts.
 
-    The standard form is passed to HiGHS once; each solve mutates the
-    column bounds in place and (when a parent basis is supplied)
-    hot-starts the dual simplex from it.  Runs single-threaded so the
-    pivot sequence — and therefore every objective, node count and
-    trace byte — is deterministic for a fixed call sequence.
+    The standard form is passed to HiGHS once.  The session remembers
+    the column bounds HiGHS holds; each solve pushes only the columns
+    whose requested bounds differ from those (through cut-row appends
+    too) and, when a parent basis is supplied, hot-starts the dual
+    simplex from it.  Runs single-threaded so the pivot sequence — and
+    therefore every objective, node count and trace byte — is
+    deterministic for a fixed call sequence.
     """
 
     engine = "highspy"
@@ -477,8 +482,10 @@ class HighspySession(LPSession):
         self._h.setOptionValue("output_flag", False)
         self._h.setOptionValue("threads", 1)
         self._h.setOptionValue("presolve", "on")
-        self._col_indices = np.arange(form.num_vars, dtype=np.int32)
         self._h.passModel(highs_lp(form))
+        # the column bounds HiGHS currently holds
+        self._lb = np.array(form.lb, dtype=np.float64)
+        self._ub = np.array(form.ub, dtype=np.float64)
 
     def load_appended(self, form: StandardForm) -> bool:
         """Push appended rows into the live ``Highs`` instance.
@@ -533,12 +540,15 @@ class HighspySession(LPSession):
         metrics = get_registry()
         h = self._h
         with metrics.timer("phase.lp_update"):
-            h.changeColsBounds(
-                form.num_vars,
-                self._col_indices,
-                np.ascontiguousarray(lb, dtype=np.float64),
-                np.ascontiguousarray(ub, dtype=np.float64),
-            )
+            cols = np.flatnonzero((lb != self._lb) | (ub != self._ub))
+            if cols.size:
+                new_lb = np.asarray(lb, dtype=np.float64)[cols]
+                new_ub = np.asarray(ub, dtype=np.float64)[cols]
+                h.changeColsBounds(
+                    cols.size, cols.astype(np.int32), new_lb, new_ub
+                )
+                self._lb[cols] = new_lb
+                self._ub[cols] = new_ub
             if basis is not None:
                 h.setBasis(basis)
         with metrics.timer("phase.lp"):

@@ -52,7 +52,11 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
     },
     "presolve": {
         "required": {"feasible": "bool"},
-        "optional": {"tightened_bounds": "int"},
+        "optional": {
+            "tightened_bounds": "int",
+            "rounds": "int",
+            "rows_processed": "int",
+        },
     },
     "root_relaxation": {
         "required": {"status": "str"},

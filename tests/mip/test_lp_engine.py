@@ -384,3 +384,124 @@ class TestLoadAppended:
             ).solve(m)
         assert result.objective == pytest.approx(2.0)
         assert registry.counter("solver.lp_appends") >= 1
+
+
+# ----------------------------------------------------------------------
+# changed-columns-only bound pushes
+# ----------------------------------------------------------------------
+class PushEverySession(HighspySession):
+    """Pushes every column bound on every solve, changed or not."""
+
+    def _solve(self, lb, ub, basis):
+        if self.form.num_vars:
+            self._h.changeColsBounds(
+                self.form.num_vars,
+                np.arange(self.form.num_vars, dtype=np.int32),
+                np.ascontiguousarray(lb, dtype=np.float64),
+                np.ascontiguousarray(ub, dtype=np.float64),
+            )
+            self._lb[:] = lb
+            self._ub[:] = ub
+        return super()._solve(lb, ub, basis)
+
+
+def csigma_instance():
+    from repro.tvnep import CSigmaModel, objectives
+    from repro.workloads import small_scenario
+
+    sc = small_scenario(4, num_requests=6).with_flexibility(1.0)
+    model = CSigmaModel(sc.substrate, sc.requests, fixed_mappings=sc.node_mappings)
+    objectives.set_access_control(model)
+    return model.model
+
+
+def search_fingerprint(model, session, warm_start=None, **options):
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        result = BranchAndBoundSolver(lp_session=session, **options).solve(
+            model, warm_start=warm_start
+        )
+    counters = {
+        name: registry.counter(name)
+        for name in (
+            "solver.nodes",
+            "solver.lp_iterations",
+            "solver.lp_hot_starts",
+            "solver.cuts_added",
+            "solver.rc_fixed_cols",
+        )
+    }
+    return result.objective, counters
+
+
+@needs_highs
+class TestChangedColumnPushes:
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"cover_cuts": True}, {"rounding_heuristic": False, "warm": True}],
+        ids=["plain", "cover_cuts", "rc_fixing_after_warm_start"],
+    )
+    def test_same_search_as_pushing_every_column(self, options):
+        model = csigma_instance()
+        options = dict(options)
+        warm = None
+        if options.pop("warm", False):
+            warm = BranchAndBoundSolver().solve(model).values
+        default = search_fingerprint(model, "highs", warm, **options)
+        every = search_fingerprint(model, PushEverySession, warm, **options)
+        assert default == every
+        counters = default[1]
+        assert counters["solver.nodes"] > 1
+        if "cover_cuts" in options:
+            assert counters["solver.cuts_added"] > 0  # load_appended path
+        if warm is not None:
+            assert counters["solver.rc_fixed_cols"] > 0
+
+    def test_reverting_and_infinite_bounds_match_a_fresh_session(self):
+        """Bounds that move, revert and go to ±inf reach HiGHS exactly."""
+        m = Model()
+        xs = [m.continuous_var(f"x{i}", lb=-np.inf, ub=np.inf) for i in range(4)]
+        for x in xs:  # rows keep the LP bounded whatever the column bounds
+            m.add_constr(x <= 5)
+            m.add_constr(x >= -5)
+        m.add_constr(xs[0] + xs[1] <= 3)
+        m.add_constr(xs[1] - xs[2] >= -1)
+        m.add_constr(xs[2] + 2 * xs[3] <= 4)
+        m.set_objective(
+            xs[0] + 2 * xs[1] - 3 * xs[2] + 0.5 * xs[3], ObjectiveSense.MAXIMIZE
+        )
+        form = m.to_standard_form()
+        free_lb, free_ub = form.lb.copy(), form.ub.copy()
+        boxed_lb, boxed_ub = free_lb.copy(), free_ub.copy()
+        boxed_lb[0], boxed_ub[0] = 0.0, 2.0
+        capped_lb, capped_ub = boxed_lb.copy(), boxed_ub.copy()
+        capped_ub[1] = 1.0
+        capped_lb[3] = -np.inf
+        infeasible_lb, infeasible_ub = free_lb.copy(), free_ub.copy()
+        infeasible_lb[2] = 6.0  # beyond the row x2 <= 5
+        sequence = [
+            (free_lb, free_ub),
+            (boxed_lb, boxed_ub),
+            (capped_lb, capped_ub),
+            (boxed_lb, boxed_ub),
+            (free_lb, free_ub),
+            (infeasible_lb, infeasible_ub),
+            (capped_lb, capped_ub),
+            (free_lb, free_ub),
+        ]
+        with HighspySession(form) as session:
+            basis = None
+            for lb, ub in sequence:
+                got = session.solve(lb.copy(), ub.copy(), basis=basis)
+                basis = got.basis or basis
+                held = session._h.getLp()
+                assert np.array_equal(np.asarray(held.col_lower_), lb)
+                assert np.array_equal(np.asarray(held.col_upper_), ub)
+                with HighspySession(form) as fresh:
+                    want = fresh.solve(lb.copy(), ub.copy())
+                assert got.status == want.status
+                if want.status == "optimal":
+                    assert got.internal_obj == pytest.approx(
+                        want.internal_obj, abs=1e-9
+                    )
+                    assert got.x == pytest.approx(want.x, abs=1e-9)

@@ -120,6 +120,26 @@ class TestSolverIntegration:
         assert not result.has_solution
         assert result.node_count == 0  # caught before any LP
 
+    def test_presolve_work_reaches_trace_and_registry(self):
+        from repro.observability import MetricsRegistry, SolveTrace, use_registry
+        from repro.observability.schema import validate_event
+
+        m = self.knapsack()
+        x = m.continuous_var("x", lb=4, ub=10)
+        b = m.binary_var("b")
+        m.add_constr(x <= 10 * b)  # x >= 4 forces b = 1
+        form = m.to_standard_form()
+        expected = tighten_bounds(form, form.lb, form.ub)
+        trace = SolveTrace()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            BranchAndBoundSolver().solve(m, trace=trace)
+        event = trace.last("presolve")
+        assert validate_event(event) == []
+        assert event["rounds"] == expected.rounds
+        assert event["rows_processed"] == expected.rows_processed > 0
+        assert registry.counter("solver.presolve_rows") == expected.rows_processed
+
 
 @st.composite
 def random_bounded_milp(draw):
@@ -315,3 +335,134 @@ class TestInfiniteBounds:
         assert result.feasible
         assert np.isinf(result.ub[x.index])
         assert np.isinf(result.ub[y.index])
+
+
+# ----------------------------------------------------------------------
+# differential parity against the frozen full-sweep loop
+# ----------------------------------------------------------------------
+_COEFS = st.one_of(
+    st.sampled_from([-7.0, -2.0, -1.0, -0.5, 1.0 / 3.0, 0.1, 1.0, 2.0, 3.0, 1e3]),
+    st.floats(-20.0, 20.0, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
+)
+_BOUNDS = st.one_of(
+    st.sampled_from([-np.inf, -10.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0, 10.0, np.inf]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+@st.composite
+def sparse_forms(draw):
+    """A raw sparse form plus starting bounds (possibly crossing)."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 8))
+    dense = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            if draw(st.booleans()):
+                dense[i, j] = draw(_COEFS)
+    rows = [sorted((draw(_BOUNDS), draw(_BOUNDS))) for _ in range(m)]
+    cols = [sorted((draw(_BOUNDS), draw(_BOUNDS))) for _ in range(n)]
+    integrality = [float(draw(st.booleans())) for _ in range(n)]
+    form = raw_form(
+        A=dense,
+        row_lb=[lo for lo, _ in rows],
+        row_ub=[hi for _, hi in rows],
+        lb=[lo for lo, _ in cols],
+        ub=[hi for _, hi in cols],
+        integrality=integrality,
+    )
+    lb, ub = form.lb.copy(), form.ub.copy()
+    for j in range(n):
+        if draw(st.integers(0, 9)) == 0:  # a column whose bounds cross
+            lb[j], ub[j] = ub[j] + 1.0, lb[j]
+    return form, lb, ub, draw(st.integers(1, 10))
+
+
+def assert_reference_parity(form, lb, ub, max_rounds=10):
+    from tests.mip._presolve_reference import tighten_bounds as reference
+
+    # random forms reach inf - inf residuals; both loops warn the same
+    with np.errstate(all="ignore"):
+        expected = reference(form, lb, ub, max_rounds)
+        got = tighten_bounds(form, lb, ub, max_rounds)
+    assert got.lb.tobytes() == expected.lb.tobytes()
+    assert got.ub.tobytes() == expected.ub.tobytes()
+    assert got.feasible == expected.feasible
+    assert got.rounds == expected.rounds
+    assert got.tightenings == expected.tightenings
+    return got
+
+
+def scenario_forms(seed):
+    from repro.tvnep import CSigmaModel, DeltaModel, SigmaModel, objectives
+    from repro.workloads import small_scenario
+
+    sc = small_scenario(seed, num_requests=8).with_flexibility(1.0)
+    for cls in (DeltaModel, SigmaModel, CSigmaModel):
+        model = cls(sc.substrate, sc.requests, fixed_mappings=sc.node_mappings)
+        objectives.set_access_control(model)
+        yield cls.__name__, model.model.to_standard_form()
+
+
+class TestReferenceParity:
+    """``tighten_bounds`` is byte-identical to the full-sweep loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_forms())
+    def test_random_sparse_forms(self, case):
+        form, lb, ub, max_rounds = case
+        assert_reference_parity(form, lb, ub, max_rounds)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scenario_forms(self, seed):
+        for name, form in scenario_forms(seed):
+            result = assert_reference_parity(form, form.lb, form.ub)
+            assert result.feasible, name
+            # the screen keeps most rows away from the row-by-row code
+            assert result.rows_processed < result.rounds * form.num_constraints
+
+    @pytest.mark.parametrize(
+        "row_hi, x0_ub, tightens",
+        [(1000.0, 995.0, True), (5.0, 0.0, False)],
+        ids=["tightening", "infeasibility"],
+    )
+    def test_summation_order_cannot_hide_a_change(self, row_hi, x0_ub, tightens):
+        """The screen sums a row in another order than the row code.
+
+        Here the two orders disagree by 8 on the activity of the fixed
+        columns x1..x9 (1e16 + 1 + ... + 1 - 1e16).  In the row code's
+        order the row tightens x0 or is infeasible; in the screen's it
+        would do neither, so only the screen's margins flag it.
+        """
+        form = raw_form(
+            A=[[1.0] * 10],
+            row_lb=[-np.inf],
+            row_ub=[row_hi],
+            lb=[0.0, 1e16] + [1.0] * 7 + [-1e16],
+            ub=[x0_ub, 1e16] + [1.0] * 7 + [-1e16],
+            integrality=[0.0] * 10,
+        )
+        terms = form.A.data * form.lb  # the row's min-activity terms
+        assert terms.sum() - sum(terms.tolist()) == 8.0
+        result = assert_reference_parity(form, form.lb, form.ub)
+        if tightens:
+            assert result.ub[0] == row_hi - 8.0
+        else:
+            assert not result.feasible
+
+    def test_rows_processed_counts_only_screened_rows(self):
+        """A row no bound can move is screened out after round one."""
+        form = raw_form(
+            A=[[1.0, 0.0], [0.0, 1.0]],
+            row_lb=[-np.inf, -np.inf],
+            row_ub=[3.0, 100.0],  # tightens x0; vacuous for x1
+            lb=[0.0, 0.0],
+            ub=[10.0, 10.0],
+            integrality=[0.0, 0.0],
+        )
+        result = assert_reference_parity(form, form.lb, form.ub)
+        assert result.ub[0] == 3.0 and result.ub[1] == 10.0
+        # round one processes row 0 only; round two re-screens row 0
+        # (its column moved) and finds nothing to do
+        assert result.rounds == 2
+        assert result.rows_processed == 1
